@@ -8,11 +8,10 @@
 //!   (fixed-base comb + split wNAF + binary/batched inversion +
 //!   projective x-check), plus the batched-inversion variant and
 //!   signing;
-//! * the **field-backend A/B**: the Solinas P-256 base field against
-//!   the Montgomery oracle — field-multiply latency in-process (both
-//!   backends are always compiled) and the full `verify_prehashed`
-//!   latency via a re-exec of this binary with `FABRIC_FIELD_BACKEND`
-//!   flipped (the curve tables bind to one backend per process);
+//! * the **field A/B**, in-process: multiply (and, for the scalar
+//!   field, inverse) latency of the production Solinas base field and
+//!   Barrett scalar field against the Montgomery reference on the same
+//!   modulus;
 //! * the functional pipeline on a 100-tx smallbank-shaped block:
 //!   per-stage µs, blocks/s, sigs/s, for 1/2/4 vscc workers (wall-clock
 //!   scaling depends on host vCPUs, recorded alongside), with the
@@ -49,21 +48,8 @@ const BLOCK_TXS: usize = 100;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn main() {
-    // Child mode for the cross-backend A/B: measure the single-thread
-    // numbers under whatever FABRIC_FIELD_BACKEND the parent set, print
-    // one JSON line on stdout, exit.
-    if std::env::args().any(|a| a == "--single-thread-json") {
-        let m = measure_single_thread(true);
-        println!("{}", m.to_json().finish_inline());
-        return;
-    }
-
-    let backend = fabric_crypto::curve::p256().fp.backend();
-    let scalar_backend = fabric_crypto::curve::p256().fn_.backend();
     let mut json = JsonObject::new();
     json.raw("generated_by", "\"bench_validation\"");
-    json.raw("field_backend", &format!("\"{}\"", backend.name()));
-    json.raw("scalar_backend", &format!("\"{}\"", scalar_backend.name()));
     json.number(
         "host_cpus",
         std::thread::available_parallelism()
@@ -71,15 +57,11 @@ fn main() {
             .unwrap_or(1) as f64,
     );
 
-    // One single-thread measurement feeds both the seed-vs-fast report
-    // and the backend A/B: the two sections must quote the same
-    // verify_fast_us for this process.
-    let single = measure_single_thread(false);
-    json.object("single_thread", report_single_thread(&single));
+    json.object("single_thread", bench_single_thread());
 
-    json.object("field_backend_ab", bench_field_backends(&single));
+    json.object("field_backend_ab", bench_field_backends());
 
-    json.object("scalar_backend_ab", bench_scalar_backends(&single));
+    json.object("scalar_backend_ab", bench_scalar_backends());
 
     let (pipeline, cache) = bench_pipeline();
     json.object("pipeline", pipeline);
@@ -102,41 +84,10 @@ fn main() {
     println!("\nwrote {}", path.display());
 }
 
-/// Raw single-thread measurements, independent of reporting.
-struct SingleThread {
-    seed_us: f64,
-    fast_us: f64,
-    batched_us: f64,
-    sign_us: f64,
-}
-
-impl SingleThread {
-    fn to_json(&self) -> JsonObject {
-        let mut o = JsonObject::new();
-        o.raw(
-            "field_backend",
-            &format!("\"{}\"", fabric_crypto::curve::p256().fp.backend().name()),
-        );
-        o.raw(
-            "scalar_backend",
-            &format!("\"{}\"", fabric_crypto::curve::p256().fn_.backend().name()),
-        );
-        o.number("verify_seed_us", self.seed_us);
-        o.number("verify_fast_us", self.fast_us);
-        o.number("verify_fast_batched_us", self.batched_us);
-        o.number("sign_us", self.sign_us);
-        o.number("verify_speedup", self.seed_us / self.fast_us);
-        o.number("verify_speedup_batched", self.seed_us / self.batched_us);
-        o
-    }
-}
-
-/// Times the seed/fast/batched verify paths and signing on one thread.
-/// `quiet` suppresses the human-readable table (child-process mode).
-fn measure_single_thread(quiet: bool) -> SingleThread {
-    if !quiet {
-        heading("single-thread ECDSA: seed path vs optimized path");
-    }
+/// Times the seed/fast/batched verify paths and signing on one thread,
+/// and reports the seed-vs-fast speedup.
+fn bench_single_thread() -> JsonObject {
+    heading("single-thread ECDSA: seed path vs optimized path");
     let key = SigningKey::from_seed(b"bench_validation");
     let vk = key.verifying_key();
 
@@ -179,38 +130,28 @@ fn measure_single_thread(quiet: bool) -> SingleThread {
     }
     let batched_us = t0.elapsed().as_secs_f64() * 1e6 / (reps * sigs.len()) as f64;
 
-    SingleThread {
-        seed_us,
-        fast_us,
-        batched_us,
-        sign_us,
-    }
-}
-
-/// Seed-vs-fast single-thread report over an existing measurement.
-fn report_single_thread(m: &SingleThread) -> JsonObject {
-    let speedup = m.seed_us / m.fast_us;
+    let speedup = seed_us / fast_us;
     table(
         &["path", "µs/op", "speedup vs seed"],
         &[
             vec![
                 "verify (seed: shamir+fermat)".to_string(),
-                format!("{:.1}", m.seed_us),
+                format!("{seed_us:.1}"),
                 "1.00x".into(),
             ],
             vec![
                 "verify (fixed-base + wNAF)".to_string(),
-                format!("{:.1}", m.fast_us),
+                format!("{fast_us:.1}"),
                 format!("{speedup:.2}x"),
             ],
             vec![
                 "verify (batched s⁻¹)".to_string(),
-                format!("{:.1}", m.batched_us),
-                format!("{:.2}x", m.seed_us / m.batched_us),
+                format!("{batched_us:.1}"),
+                format!("{:.2}x", seed_us / batched_us),
             ],
             vec![
                 "sign (fixed-base comb)".to_string(),
-                format!("{:.1}", m.sign_us),
+                format!("{sign_us:.1}"),
                 String::new(),
             ],
         ],
@@ -219,24 +160,23 @@ fn report_single_thread(m: &SingleThread) -> JsonObject {
         speedup >= 2.0,
         "single-thread verify speedup regressed below 2x: {speedup:.2}x"
     );
-    m.to_json()
+    let mut o = JsonObject::new();
+    o.number("verify_seed_us", seed_us);
+    o.number("verify_fast_us", fast_us);
+    o.number("verify_fast_batched_us", batched_us);
+    o.number("sign_us", sign_us);
+    o.number("verify_speedup", speedup);
+    o.number("verify_speedup_batched", seed_us / batched_us);
+    o
 }
 
-/// The Solinas-vs-Montgomery base-field A/B, reusing this process's
-/// single-thread measurement for the active side.
-///
-/// Field-multiply latency runs in-process (both implementations are
-/// always compiled); the end-to-end `verify_prehashed` comparison
-/// re-execs this binary with `FABRIC_FIELD_BACKEND` flipped, because
-/// the curve's precomputed tables bind the process to one backend. The
-/// child echoes which backend it actually ran, and a mismatch discards
-/// the measurement instead of mislabeling it.
-fn bench_field_backends(active_measurement: &SingleThread) -> JsonObject {
+/// The Solinas-vs-Montgomery base-field A/B: field-multiply latency of
+/// the production [`Fp256`] against the Montgomery reference on the
+/// same prime, both called directly in this process.
+fn bench_field_backends() -> JsonObject {
     heading("P-256 base field: Solinas vs Montgomery");
-    let active = fabric_crypto::curve::p256().fp.backend();
 
-    // In-process field-multiply chain (serial dependency, like the
-    // point-arithmetic hot loops).
+    // Serial multiply chain (like the point-arithmetic hot loops).
     let f = Fp256;
     let mont = MontgomeryDomain::new(Fp256::P);
     let a =
@@ -252,111 +192,46 @@ fn bench_field_backends(active_measurement: &SingleThread) -> JsonObject {
     let mon_ns = time_us(N, || y = mont.mul(&y, &bm)) * 1e3;
     std::hint::black_box((x, y));
 
-    // Full-verify A/B: re-exec with the other backend forced.
-    let other = match active {
-        fabric_crypto::FieldBackend::Solinas => fabric_crypto::FieldBackend::Montgomery,
-        fabric_crypto::FieldBackend::Montgomery => fabric_crypto::FieldBackend::Solinas,
-    };
-    let active_verify_us = active_measurement.fast_us;
-    let other_verify_us = std::env::current_exe()
-        .ok()
-        .and_then(|exe| {
-            std::process::Command::new(exe)
-                .arg("--single-thread-json")
-                .env("FABRIC_FIELD_BACKEND", other.name())
-                .output()
-                .ok()
-        })
-        .filter(|out| out.status.success())
-        .and_then(|out| {
-            let text = String::from_utf8_lossy(&out.stdout).into_owned();
-            // The child echoes its backend; trust the echo, not the
-            // request, so a build that pins backends differently can
-            // never mislabel the baseline column.
-            let reported = format!("\"field_backend\": \"{}\"", other.name());
-            if !text.contains(&reported) {
-                eprintln!(
-                    "warning: A/B child did not run the {other} backend (output: {})",
-                    text.trim()
-                );
-                return None;
-            }
-            json_number(&text, "verify_fast_us")
-        });
-
     let mut o = JsonObject::new();
-    o.raw("active", &format!("\"{}\"", active.name()));
-    o.raw("baseline", &format!("\"{}\"", other.name()));
     o.number("field_mul_solinas_ns", sol_ns);
     o.number("field_mul_montgomery_ns", mon_ns);
     o.number("field_mul_speedup", mon_ns / sol_ns);
-    o.number("verify_fast_us_active", active_verify_us);
-    let mut rows = vec![
-        vec![
-            "field mul (solinas)".to_string(),
-            format!("{sol_ns:.1} ns"),
-            format!("{:.2}x vs montgomery", mon_ns / sol_ns),
+    table(
+        &["measurement", "latency", "ratio"],
+        &[
+            vec![
+                "field mul (solinas)".to_string(),
+                format!("{sol_ns:.1} ns"),
+                format!("{:.2}x vs montgomery", mon_ns / sol_ns),
+            ],
+            vec![
+                "field mul (montgomery)".to_string(),
+                format!("{mon_ns:.1} ns"),
+                "1.00x".into(),
+            ],
         ],
-        vec![
-            "field mul (montgomery)".to_string(),
-            format!("{mon_ns:.1} ns"),
-            "1.00x".into(),
-        ],
-        vec![
-            format!("verify ({})", active.name()),
-            format!("{active_verify_us:.1} µs"),
-            String::new(),
-        ],
-    ];
-    match other_verify_us {
-        Some(other_us) => {
-            o.number(&format!("verify_fast_us_{}", other.name()), other_us);
-            // Report "speedup of the active backend over the baseline":
-            // with Solinas active this is the headline Solinas gain.
-            o.number(
-                "verify_speedup_active_vs_baseline",
-                other_us / active_verify_us,
-            );
-            rows.push(vec![
-                format!("verify ({})", other.name()),
-                format!("{other_us:.1} µs"),
-                format!("{:.2}x slower-path baseline", other_us / active_verify_us),
-            ]);
-        }
-        None => {
-            // Re-exec can fail in exotic sandboxes; record that rather
-            // than fabricating a number.
-            o.raw("verify_fast_us_baseline_unavailable", "true");
-            eprintln!("warning: could not re-exec for the {other} baseline measurement");
-        }
-    }
-    table(&["measurement", "latency", "ratio"], &rows);
+    );
     o
 }
 
-/// The Barrett-vs-Montgomery scalar-field (mod `n`) A/B.
+/// The Barrett-vs-Montgomery scalar-field (mod `n`) A/B, in-process.
 ///
-/// The operation measured in-process is the one the ECDSA scalar flow
-/// actually performs through the representation-neutral API: a
-/// **canonical-in, canonical-out** modular multiply (`to_repr` → `mul`
-/// → `from_repr`). Under Barrett the conversions are no-ops and the
-/// cost is one Barrett reduction; under Montgomery each crossing is a
-/// REDC multiply, which is exactly the overhead the Barrett domain
-/// removes from `bits2int`/`u1`/`u2`/`s⁻¹` per signature. The
-/// steady-state *resident* Montgomery multiply (operands already in
-/// Montgomery form) is reported alongside for honesty — REDC wins that
-/// shape, but the ECDSA flow never stays resident long enough to
-/// benefit. The end-to-end `verify_prehashed` comparison re-execs this
-/// binary with `FABRIC_SCALAR_BACKEND` flipped, as for the base field.
-fn bench_scalar_backends(active_measurement: &SingleThread) -> JsonObject {
+/// The headline operation is the one the ECDSA scalar flow performs: a
+/// **canonical-in, canonical-out** modular multiply. Barrett works on
+/// canonical residues, so its cost is one Barrett reduction; the
+/// Montgomery reference needs a REDC multiply for each domain crossing
+/// (`to_mont`, `to_mont`, `from_mont`), which is exactly the overhead
+/// the Barrett field removes from `bits2int`/`u1`/`u2`/`s⁻¹` per
+/// signature. The steady-state *resident* Montgomery multiply (operands
+/// already in Montgomery form) is reported alongside for honesty — REDC
+/// wins that shape, but the ECDSA flow never stays resident long enough
+/// to benefit.
+fn bench_scalar_backends() -> JsonObject {
     use fabric_crypto::fq256::Fq256;
-    use fabric_crypto::scalar::{ScalarBackend, ScalarDomain};
 
     heading("P-256 scalar field (mod n): Barrett vs Montgomery");
-    let active = fabric_crypto::curve::p256().fn_.backend();
-
-    let bar = ScalarDomain::p256_order(ScalarBackend::Barrett);
-    let mon = ScalarDomain::p256_order(ScalarBackend::Montgomery);
+    let bar = Fq256;
+    let mon = MontgomeryDomain::new(Fq256::N);
     let n = Fq256::N;
     let a = U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296")
         .unwrap()
@@ -368,18 +243,16 @@ fn bench_scalar_backends(active_measurement: &SingleThread) -> JsonObject {
     // Canonical-in/canonical-out chain, serial dependency (the shape of
     // u1/u2 derivation on values arriving from wire bytes).
     let mut x = a;
-    let bar_ns = time_us(N_ITERS, || {
-        x = bar.from_repr(&bar.mul(&bar.to_repr(&x), &bar.to_repr(&b)));
-    }) * 1e3;
+    let bar_ns = time_us(N_ITERS, || x = bar.mul(&x, &b)) * 1e3;
     let mut y = a;
     let mon_ns = time_us(N_ITERS, || {
-        y = mon.from_repr(&mon.mul(&mon.to_repr(&y), &mon.to_repr(&b)));
+        y = mon.from_mont(&mon.mul(&mon.to_mont(&y), &mon.to_mont(&b)));
     }) * 1e3;
-    assert_eq!(x, y, "backends must agree on the multiply chain");
+    assert_eq!(x, y, "both fields must agree on the multiply chain");
     // Steady-state resident multiply (both operands stay in Montgomery
     // form): REDC's best case, reported as context.
-    let bm = mon.to_repr(&b);
-    let mut z = mon.to_repr(&a);
+    let bm = mon.to_mont(&b);
+    let mut z = mon.to_mont(&a);
     let mon_resident_ns = time_us(N_ITERS, || z = mon.mul(&z, &bm)) * 1e3;
     std::hint::black_box((x, y, z));
     // Per-signature s⁻¹ (single, not batched): Euclid either way, but
@@ -387,12 +260,12 @@ fn bench_scalar_backends(active_measurement: &SingleThread) -> JsonObject {
     const INV_ITERS: u32 = 20_000;
     let mut acc = a;
     let bar_inv_ns = time_us(INV_ITERS, || {
-        acc = bar.from_repr(&bar.inv(&bar.to_repr(&acc)).unwrap());
+        acc = bar.inv(&acc).unwrap();
         acc.0[0] |= 1; // keep the chain nonzero
     }) * 1e3;
     let mut acc2 = a;
     let mon_inv_ns = time_us(INV_ITERS, || {
-        acc2 = mon.from_repr(&mon.inv(&mon.to_repr(&acc2)).unwrap());
+        acc2 = mon.from_mont(&mon.inv(&mon.to_mont(&acc2)).unwrap());
         acc2.0[0] |= 1;
     }) * 1e3;
     std::hint::black_box((acc, acc2));
@@ -403,60 +276,7 @@ fn bench_scalar_backends(active_measurement: &SingleThread) -> JsonObject {
         "Barrett canonical mod-n mul regressed below 1.2x vs Montgomery: {mul_speedup:.2}x"
     );
 
-    // Full-verify A/B: the scalar stage is well under 1% of a verify,
-    // so comparing this process's earlier measurement against one fresh
-    // child would drown the effect in scheduling noise. Re-exec *both*
-    // backends back-to-back under the same conditions instead; the
-    // parent's number is only the fallback if the children fail.
-    let other = match active {
-        ScalarBackend::Barrett => ScalarBackend::Montgomery,
-        ScalarBackend::Montgomery => ScalarBackend::Barrett,
-    };
-    let reexec_verify_us = |backend: ScalarBackend| {
-        std::env::current_exe()
-            .ok()
-            .and_then(|exe| {
-                std::process::Command::new(exe)
-                    .arg("--single-thread-json")
-                    .env("FABRIC_SCALAR_BACKEND", backend.name())
-                    .output()
-                    .ok()
-            })
-            .filter(|out| out.status.success())
-            .and_then(|out| {
-                let text = String::from_utf8_lossy(&out.stdout).into_owned();
-                let reported = format!("\"scalar_backend\": \"{}\"", backend.name());
-                if !text.contains(&reported) {
-                    eprintln!(
-                        "warning: A/B child did not run the {backend} scalar backend \
-                         (output: {})",
-                        text.trim()
-                    );
-                    return None;
-                }
-                json_number(&text, "verify_fast_us")
-            })
-    };
-    // Three alternating samples per backend, keeping the per-backend
-    // minimum: host scheduling noise only ever adds latency, so the min
-    // is the robust estimator for a sub-1% effect on a busy CI box.
-    let mut active_samples: Vec<f64> = Vec::new();
-    let mut other_samples: Vec<f64> = Vec::new();
-    for _ in 0..3 {
-        active_samples.extend(reexec_verify_us(active));
-        other_samples.extend(reexec_verify_us(other));
-    }
-    let min_of = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-    let active_verify_us = if active_samples.is_empty() {
-        active_measurement.fast_us
-    } else {
-        min_of(&active_samples)
-    };
-    let other_verify_us = (!other_samples.is_empty()).then(|| min_of(&other_samples));
-
     let mut o = JsonObject::new();
-    o.raw("active", &format!("\"{}\"", active.name()));
-    o.raw("baseline", &format!("\"{}\"", other.name()));
     o.number("scalar_mul_canonical_barrett_ns", bar_ns);
     o.number("scalar_mul_canonical_montgomery_ns", mon_ns);
     o.number("scalar_mul_speedup", mul_speedup);
@@ -464,62 +284,35 @@ fn bench_scalar_backends(active_measurement: &SingleThread) -> JsonObject {
     o.number("scalar_inv_barrett_ns", bar_inv_ns);
     o.number("scalar_inv_montgomery_ns", mon_inv_ns);
     o.number("scalar_inv_speedup", mon_inv_ns / bar_inv_ns);
-    o.number("verify_fast_us_active", active_verify_us);
-    let mut rows = vec![
-        vec![
-            "mod-n mul, canonical io (barrett)".to_string(),
-            format!("{bar_ns:.1} ns"),
-            format!("{mul_speedup:.2}x vs montgomery"),
+    table(
+        &["measurement", "latency", "ratio"],
+        &[
+            vec![
+                "mod-n mul, canonical io (barrett)".to_string(),
+                format!("{bar_ns:.1} ns"),
+                format!("{mul_speedup:.2}x vs montgomery"),
+            ],
+            vec![
+                "mod-n mul, canonical io (montgomery)".to_string(),
+                format!("{mon_ns:.1} ns"),
+                "1.00x".into(),
+            ],
+            vec![
+                "mod-n mul, resident (montgomery)".to_string(),
+                format!("{mon_resident_ns:.1} ns"),
+                "steady-state REDC, no crossings".into(),
+            ],
+            vec![
+                "s⁻¹, canonical io (barrett)".to_string(),
+                format!("{bar_inv_ns:.0} ns"),
+                format!("{:.2}x vs montgomery", mon_inv_ns / bar_inv_ns),
+            ],
+            vec![
+                "s⁻¹, canonical io (montgomery)".to_string(),
+                format!("{mon_inv_ns:.0} ns"),
+                "1.00x".into(),
+            ],
         ],
-        vec![
-            "mod-n mul, canonical io (montgomery)".to_string(),
-            format!("{mon_ns:.1} ns"),
-            "1.00x".into(),
-        ],
-        vec![
-            "mod-n mul, resident (montgomery)".to_string(),
-            format!("{mon_resident_ns:.1} ns"),
-            "steady-state REDC, no crossings".into(),
-        ],
-        vec![
-            "s⁻¹, canonical io (barrett)".to_string(),
-            format!("{bar_inv_ns:.0} ns"),
-            format!("{:.2}x vs montgomery", mon_inv_ns / bar_inv_ns),
-        ],
-        vec![
-            "s⁻¹, canonical io (montgomery)".to_string(),
-            format!("{mon_inv_ns:.0} ns"),
-            "1.00x".into(),
-        ],
-        vec![
-            format!("verify ({})", active.name()),
-            format!("{active_verify_us:.1} µs"),
-            String::new(),
-        ],
-    ];
-    match other_verify_us {
-        Some(other_us) => {
-            o.number(&format!("verify_fast_us_{}", other.name()), other_us);
-            o.number(
-                "verify_speedup_active_vs_baseline",
-                other_us / active_verify_us,
-            );
-            rows.push(vec![
-                format!("verify ({})", other.name()),
-                format!("{other_us:.1} µs"),
-                format!("{:.2}x baseline ratio", other_us / active_verify_us),
-            ]);
-        }
-        None => {
-            o.raw("verify_fast_us_baseline_unavailable", "true");
-            eprintln!("warning: could not re-exec for the {other} scalar baseline measurement");
-        }
-    }
-    table(&["measurement", "latency", "ratio"], &rows);
-    println!(
-        "(the scalar stage is a few µs of a ~{active_verify_us:.0} µs verify, so the \
-         end-to-end ratio is expected to sit near 1.0x; the canonical-io mul/inv rows are \
-         the per-operation win)"
     );
     o
 }
@@ -1079,7 +872,7 @@ fn bench_durability() -> JsonObject {
 /// equivalence check: both backends must land bit-identical state
 /// hashes after the deterministic phases.
 fn bench_statedb() -> JsonObject {
-    use fabric_statedb::{StateBackend, StateDb};
+    use fabric_statedb::{Height, StateBackend, StateDb, WriteBatch};
     use std::sync::atomic::{AtomicBool, Ordering};
     use workload::{StatePreload, ZipfCommitLoad};
 
@@ -1223,6 +1016,42 @@ fn bench_statedb() -> JsonObject {
     );
     out.raw("backends_state_hash_equal", "true");
     out.array("backends", backend_objs);
+
+    // Small-batch leg: one 2-key `apply` per transaction, the shape of
+    // a peer's per-tx commit and of journal replay on restart. The
+    // sharded store's fixed per-call overhead must stay within a small
+    // factor of the single-map legacy store's.
+    const SMALL_APPLIES: u64 = 20_000;
+    let mut small_us = Vec::new();
+    for backend in [StateBackend::Sharded, StateBackend::Legacy] {
+        let db = StateDb::with_backend(backend);
+        let batches: Vec<WriteBatch> = (0..SMALL_APPLIES)
+            .map(|i| {
+                let mut b = WriteBatch::new();
+                b.put(format!("checking{}", i % 1_000), vec![1; 8]);
+                b.put(format!("savings{}", i % 1_000), vec![2; 8]);
+                b
+            })
+            .collect();
+        let t0 = Instant::now();
+        for (i, batch) in batches.iter().enumerate() {
+            db.apply(batch, Height::new(1 + i as u64, 0));
+        }
+        small_us.push(t0.elapsed().as_secs_f64() * 1e6 / SMALL_APPLIES as f64);
+    }
+    let (sharded_us, legacy_us) = (small_us[0], small_us[1]);
+    let ratio = sharded_us / legacy_us;
+    println!(
+        "small 2-key apply: sharded {sharded_us:.2} µs, legacy {legacy_us:.2} µs \
+         ({ratio:.2}x)"
+    );
+    assert!(
+        ratio < 5.0,
+        "sharded 2-key apply is {ratio:.2}x the legacy store's (bound: < 5x)"
+    );
+    out.number("small_apply_sharded_us", sharded_us);
+    out.number("small_apply_legacy_us", legacy_us);
+    out.number("small_apply_sharded_over_legacy", ratio);
     out
 }
 
@@ -1485,16 +1314,6 @@ fn bench_admission() -> JsonObject {
         ostats.shed_rate() * 100.0
     );
     out
-}
-
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Lock hold-time/contention accounting from the fabric-check layer:

@@ -8,7 +8,7 @@
 //! hardware simulator in `bmac-hw` reuses this for functional behaviour
 //! and adds the timing model on top.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fabric_crypto::der;
 use fabric_crypto::sha256::sha256;
@@ -119,6 +119,14 @@ impl PartialBlock {
     }
 }
 
+/// How far past the delivered watermark a block number may be and still
+/// open a partial block. Sections further ahead are dropped (and
+/// counted in [`ReceiverStats::out_of_window`]), so a flood of
+/// far-future block numbers cannot grow reassembly state without bound:
+/// at most this many blocks are ever in reassembly. Generously above
+/// any reorder depth a sender's in-flight window produces.
+pub const REASSEMBLY_WINDOW: u64 = 1024;
+
 /// Receiver statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReceiverStats {
@@ -133,13 +141,22 @@ pub struct ReceiverStats {
     /// Section packets discarded because their block had already
     /// completed (late duplicates on the wire).
     pub late_duplicates: u64,
+    /// Section packets discarded because their block number was more
+    /// than [`REASSEMBLY_WINDOW`] ahead of the delivered watermark.
+    pub out_of_window: u64,
+    /// Section packets discarded because their `total_txs` disagreed
+    /// with the count their block's first section recorded, or their
+    /// transaction index lay outside that count.
+    pub conflicting_sections: u64,
 }
 
 /// The software BMac receiver.
 #[derive(Debug, Default)]
 pub struct BmacReceiver {
     cache: IdentityCache,
-    partial: HashMap<u64, PartialBlock>,
+    /// Blocks in reassembly, ordered so that one ingest releasing
+    /// several blocks yields them in ascending block order.
+    partial: BTreeMap<u64, PartialBlock>,
     /// Numbers of blocks already delivered: a duplicate section arriving
     /// after its block completed must be dropped, not allowed to seed a
     /// ghost partial block (which would both report a phantom loss and,
@@ -150,7 +167,7 @@ pub struct BmacReceiver {
     /// [`BmacReceiver::new`]; use [`BmacReceiver::resuming_from`] when
     /// attaching mid-chain, otherwise the set grows by one entry per
     /// delivered block).
-    completed: std::collections::HashSet<u64>,
+    completed: HashSet<u64>,
     /// All blocks `0..=watermark` are considered delivered.
     completed_watermark: Option<u64>,
     stats: ReceiverStats,
@@ -182,15 +199,13 @@ impl BmacReceiver {
     /// Block numbers currently incomplete (for loss detection; the
     /// protocol has no retransmission, §5).
     pub fn incomplete_blocks(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.partial.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.partial.keys().copied().collect()
     }
 
     /// Ingests one wire packet. Returns any blocks completed by this
     /// packet (usually zero or one; an identity-sync packet can release
-    /// several blocks that were waiting on it). Non-BMac packets are
-    /// counted as forwarded.
+    /// several blocks that were waiting on it, in ascending block
+    /// order). Non-BMac packets are counted as forwarded.
     ///
     /// # Errors
     ///
@@ -216,6 +231,12 @@ impl BmacReceiver {
     /// arrives — UDP gives no ordering guarantee between a sync packet
     /// and a later block's sections.
     ///
+    /// Sections are dropped and counted, never buffered, when their
+    /// block is already delivered, lies more than [`REASSEMBLY_WINDOW`]
+    /// past the delivered watermark, or carries a `total_txs` that
+    /// contradicts the count its block first recorded (or indexes a
+    /// transaction outside it).
+    ///
     /// # Errors
     ///
     /// [`ReceiveError`] on reconstruction failures.
@@ -234,8 +255,23 @@ impl BmacReceiver {
             self.stats.late_duplicates += 1;
             return Ok(Vec::new());
         }
+        let next = self.completed_watermark.map_or(0, |w| w + 1);
+        if packet.block_num - next >= REASSEMBLY_WINDOW {
+            self.stats.out_of_window += 1;
+            return Ok(Vec::new());
+        }
+        if packet.section == SectionType::Transaction && packet.index >= packet.total_txs {
+            self.stats.conflicting_sections += 1;
+            return Ok(Vec::new());
+        }
         let partial = self.partial.entry(packet.block_num).or_default();
-        partial.total_txs = Some(packet.total_txs);
+        match partial.total_txs {
+            Some(total) if total != packet.total_txs => {
+                self.stats.conflicting_sections += 1;
+                return Ok(Vec::new());
+            }
+            _ => partial.total_txs = Some(packet.total_txs),
+        }
         partial.wire_bytes += wire_len;
         match packet.section {
             SectionType::Header => partial.header = Some(packet.payload.to_vec()),
@@ -675,5 +711,91 @@ mod tests {
             completed += receiver.ingest(&p.encode().unwrap()).unwrap().len();
         }
         assert_eq!(completed, 2);
+    }
+
+    #[test]
+    fn far_ahead_headers_leave_bounded_partials() {
+        let block = one_block(1);
+        let mut sender = BmacSender::new();
+        let header = sender
+            .send_block(&block)
+            .unwrap()
+            .into_iter()
+            .find(|p| p.section == SectionType::Header)
+            .unwrap();
+        let mut receiver = BmacReceiver::new();
+        for i in 0..100_000u64 {
+            let mut p = header.clone();
+            p.block_num = 10 + i;
+            assert!(receiver.ingest_packet(p, 64).unwrap().is_empty());
+        }
+        let parked = receiver.incomplete_blocks().len() as u64;
+        assert!(parked <= REASSEMBLY_WINDOW, "{parked} partial blocks");
+        assert_eq!(parked + receiver.stats().out_of_window, 100_000);
+    }
+
+    #[test]
+    fn identity_sync_releases_blocks_in_ascending_order() {
+        let base = one_block(1);
+        let mut sender = BmacSender::new();
+        let mut receiver = BmacReceiver::new();
+        let mut syncs = Vec::new();
+        for n in 0..8u64 {
+            let mut block = base.clone();
+            block.header.number = n;
+            for p in sender.send_block(&block).unwrap() {
+                if p.section == SectionType::IdentitySync {
+                    syncs.push(p);
+                } else {
+                    // Every block parks: no identity is cached yet.
+                    assert!(receiver.ingest(&p.encode().unwrap()).unwrap().is_empty());
+                }
+            }
+        }
+        assert_eq!(receiver.incomplete_blocks().len(), 8);
+        let mut released = Vec::new();
+        for p in syncs {
+            for b in receiver.ingest(&p.encode().unwrap()).unwrap() {
+                released.push(b.block.header.number);
+            }
+        }
+        assert_eq!(released, (0..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn conflicting_total_txs_cannot_alias_a_block() {
+        let block = one_block(3);
+        // Same number, one transaction: a stray section claiming the
+        // block is complete after its first transaction.
+        let mut short = block.clone();
+        short.data.data.truncate(1);
+        let mut sender = BmacSender::new();
+        let packets = sender.send_block(&block).unwrap();
+        let stray = sender
+            .send_block(&short)
+            .unwrap()
+            .into_iter()
+            .find(|p| p.section == SectionType::Transaction)
+            .unwrap();
+        assert_eq!(stray.total_txs, 1);
+        // A section indexing past the block's own count: counted as
+        // present, it would leave a gap that reassembly cannot fill.
+        let mut forged = packets
+            .iter()
+            .find(|p| p.section == SectionType::Transaction)
+            .unwrap()
+            .clone();
+        forged.index = 5;
+        let mut receiver = BmacReceiver::new();
+        let mut delivered = Vec::new();
+        let (first, rest): (Vec<_>, Vec<_>) = packets
+            .into_iter()
+            .partition(|p| p.section != SectionType::Transaction || p.index == 0);
+        for p in first.into_iter().chain([stray, forged]).chain(rest) {
+            delivered.extend(receiver.ingest(&p.encode().unwrap()).unwrap());
+        }
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].block.marshal(), block.marshal());
+        assert_eq!(receiver.stats().conflicting_sections, 2);
     }
 }

@@ -43,8 +43,8 @@ impl SerialOracle {
     /// pregenerated stream.
     pub fn from_blocks(scenario: &StreamScenario, blocks: Vec<Block>) -> Self {
         // The oracle's replay is pinned to the *legacy* state backend
-        // while the audited peers run the process default (sharded
-        // unless overridden) — every audit whose state comparison
+        // while the audited peers run the sharded default — every audit
+        // whose state comparison
         // passes is therefore also a cross-backend differential check,
         // the same convention the fp256/fq256 oracles follow.
         let serial = ValidatorPipeline::with_state_backend(

@@ -4,11 +4,10 @@
 //! (paper §2.1.1), so the whole validation pipeline — client signatures,
 //! endorsements, orderer block signatures — runs on the arithmetic in this
 //! module. Points are manipulated in Jacobian coordinates over the
-//! backend-selectable base field from [`crate::field`] (Solinas fast
-//! reduction by default, generic Montgomery as the differential oracle);
-//! scalar arithmetic modulo the group order runs on the analogous
-//! switch in [`crate::scalar`] (Barrett fold by default, Montgomery as
-//! the oracle).
+//! Solinas base field ([`crate::fp256`]); scalar arithmetic modulo the
+//! group order runs on the Barrett-folded scalar field
+//! ([`crate::fq256`]). Both work on canonical residues, so coordinates
+//! and scalars are plain integers below their modulus.
 //!
 //! The implementation favours clarity and auditability over side-channel
 //! hardening: this library signs only synthetic benchmark identities.
@@ -17,81 +16,62 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::bigint::U256;
-use crate::field::{default_field_backend, FieldDomain};
-use crate::scalar::{default_scalar_backend, ScalarDomain};
+use crate::fp256::Fp256;
+use crate::fq256::Fq256;
 
-/// Curve parameters: the backend-selectable base-field domain for `p`
-/// and the backend-selectable scalar domain for `n`.
+/// Curve parameters: the base field for `p` and the scalar field for
+/// `n`, with the curve constants as canonical field elements.
 #[derive(Debug)]
 pub struct CurveParams {
-    /// Field domain (modulo the prime `p`). Coordinates stored in
-    /// points are *representation residues* of this domain.
-    pub fp: FieldDomain,
-    /// Scalar domain (modulo the group order `n`). Scalars handled
-    /// through it are *representation residues* of this domain.
-    pub fn_: ScalarDomain,
-    /// Curve coefficient `a = -3` (field representation).
+    /// Base field (modulo the prime `p`).
+    pub fp: Fp256,
+    /// Scalar field (modulo the group order `n`).
+    pub fn_: Fq256,
+    /// Curve coefficient `a = -3`.
     pub a: U256,
-    /// Curve coefficient `b` (field representation).
+    /// Curve coefficient `b`.
     pub b: U256,
-    /// Base point x in affine coordinates (field representation).
+    /// Base point x in affine coordinates.
     pub gx: U256,
-    /// Base point y (field representation).
+    /// Base point y.
     pub gy: U256,
-    /// Group order `n` as a plain integer.
+    /// Group order `n`.
     pub order: U256,
 }
 
 /// Returns the process-wide P-256 parameter set.
-///
-/// The base-field and scalar-field backends are resolved once here, on
-/// first use (see [`crate::field::default_field_backend`] and
-/// [`crate::scalar::default_scalar_backend`]); every process-wide table
-/// is built in the base-field backend's representation.
 pub fn p256() -> &'static CurveParams {
     static PARAMS: OnceLock<CurveParams> = OnceLock::new();
     PARAMS.get_or_init(|| {
-        let p = U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .expect("p-256 prime literal");
-        let n = U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
-            .expect("p-256 order literal");
         let b = U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
             .expect("p-256 b literal");
         let gx = U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296")
             .expect("p-256 gx literal");
         let gy = U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5")
             .expect("p-256 gy literal");
-        let fp = FieldDomain::p256(default_field_backend());
-        assert_eq!(fp.modulus(), &p, "field backend must use the P-256 prime");
-        let fn_ = ScalarDomain::p256_order(default_scalar_backend());
-        assert_eq!(fn_.modulus(), &n, "scalar backend must use the P-256 order");
-        let three = fp.to_repr(&U256::from_u64(3));
-        let a = fp.neg(&three);
-        let b = fp.to_repr(&b);
-        let gx = fp.to_repr(&gx);
-        let gy = fp.to_repr(&gy);
+        let fp = Fp256;
         CurveParams {
+            a: fp.neg(&U256::from_u64(3)),
             fp,
-            fn_,
-            a,
+            fn_: Fq256,
             b,
             gx,
             gy,
-            order: n,
+            order: Fq256::N,
         }
     })
 }
 
 /// A point on P-256 in affine coordinates, or the identity.
 ///
-/// Coordinates are stored in the field-domain representation; use
+/// Coordinates are canonical field elements; use
 /// [`AffinePoint::x_bytes`]/[`AffinePoint::to_sec1_bytes`] for wire
 /// representations.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct AffinePoint {
-    /// x coordinate (field representation). Meaningless when `infinity`.
+    /// x coordinate. Meaningless when `infinity`.
     pub x: U256,
-    /// y coordinate (field representation). Meaningless when `infinity`.
+    /// y coordinate. Meaningless when `infinity`.
     pub y: U256,
     /// Marker for the group identity.
     pub infinity: bool,
@@ -126,8 +106,8 @@ impl AffinePoint {
         }
     }
 
-    /// Constructs a point from plain (non-Montgomery) affine coordinates,
-    /// verifying the curve equation `y² = x³ - 3x + b`.
+    /// Constructs a point from affine coordinates, verifying the curve
+    /// equation `y² = x³ - 3x + b`.
     ///
     /// # Errors
     ///
@@ -139,11 +119,9 @@ impl AffinePoint {
         if x >= c.fp.modulus() || y >= c.fp.modulus() {
             return Err(PointError::OutOfRange);
         }
-        let xm = c.fp.to_repr(x);
-        let ym = c.fp.to_repr(y);
         let pt = AffinePoint {
-            x: xm,
-            y: ym,
+            x: *x,
+            y: *y,
             infinity: false,
         };
         if pt.is_on_curve() {
@@ -168,12 +146,12 @@ impl AffinePoint {
 
     /// The x coordinate as a plain 32-byte big-endian integer.
     pub fn x_bytes(&self) -> [u8; 32] {
-        p256().fp.from_repr(&self.x).to_be_bytes()
+        self.x.to_be_bytes()
     }
 
     /// The y coordinate as a plain 32-byte big-endian integer.
     pub fn y_bytes(&self) -> [u8; 32] {
-        p256().fp.from_repr(&self.y).to_be_bytes()
+        self.y.to_be_bytes()
     }
 
     /// Serializes in uncompressed SEC1 form (`04 || X || Y`, 65 bytes).
@@ -232,8 +210,8 @@ impl fmt::Debug for AffinePoint {
             write!(
                 f,
                 "AffinePoint(x=0x{}, y=0x{})",
-                p256().fp.from_repr(&self.x).to_hex(),
-                p256().fp.from_repr(&self.y).to_hex()
+                self.x.to_hex(),
+                self.y.to_hex()
             )
         }
     }
@@ -498,7 +476,7 @@ impl JacobianPoint {
             if &candidate >= f.modulus() {
                 return false;
             }
-            if f.mul(&f.to_repr(&candidate), &zz) == self.x {
+            if f.mul(&candidate, &zz) == self.x {
                 return true;
             }
             let (next, carry) = candidate.overflowing_add(&c.order);

@@ -20,10 +20,9 @@
 //!   `Q` and of `2^128·Q`, affine) so the double-scalar half needs only
 //!   ~128 shared doublings and ~42 mixed additions — endorser keys
 //!   repeat across every block, so the table amortizes immediately;
-//! * `s⁻¹ mod n` uses binary-Euclid inversion through the
-//!   backend-selectable scalar domain ([`crate::scalar::ScalarDomain`]:
-//!   Barrett-folded canonical arithmetic by default, Montgomery REDC as
-//!   the oracle), or is amortized across a whole block with
+//! * `s⁻¹ mod n` uses binary-Euclid inversion in the Barrett-folded
+//!   scalar field ([`crate::fq256`]), or is amortized across a whole
+//!   block with
 //!   [`batch_s_inverses`] (Montgomery's trick: one inversion per block)
 //!   and [`VerifyingKey::verify_prehashed_with_sinv`];
 //! * the final `x(R) ≡ r (mod n)` comparison happens in projective
@@ -237,22 +236,15 @@ impl SigningKey {
                 continue;
             }
             let point = mul_fixed_base(&k).to_affine();
-            let r = c.fp.from_repr(&point.x).reduce_once(n);
+            let r = point.x.reduce_once(n);
             if r.is_zero() {
                 continue;
             }
-            // s = k^-1 (z + r d) mod n, in the scalar domain's
-            // representation (canonical under Barrett, Montgomery form
-            // under the oracle backend).
+            // s = k^-1 (z + r d) mod n
             let fd = &c.fn_;
-            let km = fd.to_repr(&k);
-            let kinv = fd.inv(&km).expect("k nonzero");
-            let rm = fd.to_repr(&r);
-            let dm = fd.to_repr(&self.d);
-            let zm = fd.to_repr(&z);
-            let rd = fd.mul(&rm, &dm);
-            let sum = fd.add(&zm, &rd);
-            let s = fd.from_repr(&fd.mul(&kinv, &sum));
+            let kinv = fd.inv(&k).expect("k nonzero");
+            let sum = fd.add(&z, &fd.mul(&r, &self.d));
+            let s = fd.mul(&kinv, &sum);
             if s.is_zero() {
                 continue;
             }
@@ -360,9 +352,7 @@ impl VerifyingKey {
         if sig.r.is_zero() || &sig.r >= n || sig.s.is_zero() || &sig.s >= n {
             return Err(EcdsaError::InvalidScalar);
         }
-        let fd = &c.fn_;
-        let sm = fd.to_repr(&sig.s);
-        let sinv = fd.from_repr(&fd.inv(&sm).expect("s nonzero"));
+        let sinv = c.fn_.inv(&sig.s).expect("s nonzero");
         self.verify_prehashed_with_sinv(digest, sig, &sinv)
     }
 
@@ -388,10 +378,8 @@ impl VerifyingKey {
             return Err(EcdsaError::InvalidScalar);
         }
         let z = bits2int(digest, n);
-        let fd = &c.fn_;
-        let sinv_m = fd.to_repr(sinv);
-        let u1 = fd.from_repr(&fd.mul(&sinv_m, &fd.to_repr(&z)));
-        let u2 = fd.from_repr(&fd.mul(&sinv_m, &fd.to_repr(&sig.r)));
+        let u1 = c.fn_.mul(sinv, &z);
+        let u2 = c.fn_.mul(sinv, &sig.r);
         let precomp = self.precomp.get_or_init(|| KeyPrecomp::build(&self.point));
         let rp = mul_fixed_base(&u1).add(&precomp.mul(&u2));
         if rp.eq_x_mod_order(&sig.r) {
@@ -423,17 +411,16 @@ impl VerifyingKey {
         }
         let z = U512::from_u256(&U256::from_be_bytes(digest)).rem(n);
         let fd = &c.fn_;
-        let sm = fd.to_repr(&sig.s);
-        let sinv = fd.inv_prime(&sm).expect("s nonzero");
-        let u1 = fd.from_repr(&fd.mul(&sinv, &fd.to_repr(&z)));
-        let u2 = fd.from_repr(&fd.mul(&sinv, &fd.to_repr(&sig.r)));
+        let sinv = fd.inv_prime(&sig.s).expect("s nonzero");
+        let u1 = fd.mul(&sinv, &z);
+        let u2 = fd.mul(&sinv, &sig.r);
         let g = AffinePoint::generator().to_jacobian();
         let q = self.point.to_jacobian();
         let rp = JacobianPoint::shamir(&u1, &g, &u2, &q);
         if rp.is_identity() {
             return Err(EcdsaError::InvalidSignature);
         }
-        let x = c.fp.from_repr(&rp.to_affine().x).rem(n);
+        let x = rp.to_affine().x.rem(n);
         if x == sig.r {
             Ok(())
         } else {
@@ -452,23 +439,11 @@ impl VerifyingKey {
 pub fn batch_s_inverses(sigs: &[Signature]) -> Vec<U256> {
     let c = p256();
     let n = &c.order;
-    let fd = &c.fn_;
     let mut values: Vec<U256> = sigs
         .iter()
-        .map(|sig| {
-            if sig.s.is_zero() || &sig.s >= n {
-                U256::ZERO
-            } else {
-                fd.to_repr(&sig.s)
-            }
-        })
+        .map(|sig| if &sig.s >= n { U256::ZERO } else { sig.s })
         .collect();
-    fd.batch_inv(&mut values);
-    for v in values.iter_mut() {
-        if !v.is_zero() {
-            *v = fd.from_repr(v);
-        }
-    }
+    c.fn_.batch_inv(&mut values);
     values
 }
 

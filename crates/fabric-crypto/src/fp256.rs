@@ -18,12 +18,11 @@
 //!
 //! [`Fp256`] implements the full field API the curve layer needs (mul,
 //! square, add, sub, neg, pow, Fermat and binary-Euclid inversion,
-//! Montgomery-trick batch inversion) on plain integers `< p`. The
-//! backend dispatch that lets the curve run on either this module or the
-//! Montgomery oracle lives in [`crate::field`]; the differential test
-//! harness (`tests/tests/crypto_differential.rs`) pins every operation
-//! here against [`crate::mont::MontgomeryDomain`] on random, boundary,
-//! and near-`p` inputs.
+//! Montgomery-trick batch inversion) on plain integers `< p`, and it is
+//! the only base field the curve runs on. The differential test harness
+//! (`tests/tests/crypto_differential.rs`) pins every operation here
+//! against [`crate::mont::MontgomeryDomain`] on random, boundary, and
+//! near-`p` inputs.
 //!
 //! Like the rest of this crate, the implementation favours clarity and
 //! auditability over side-channel hardening (the reduction's final

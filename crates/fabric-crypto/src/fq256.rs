@@ -33,9 +33,8 @@
 //! one Barrett reduction versus the Montgomery path's three REDC
 //! crossings (`to_mont`, `to_mont`, `from_mont`) around its one.
 //!
-//! The backend dispatch that lets the curve layer run the scalar field
-//! on either this module or the Montgomery oracle lives in
-//! [`crate::scalar`]; the differential harness
+//! This is the only scalar field the ECDSA layer runs on. The
+//! differential harness
 //! (`tests/tests/crypto_differential.rs`) pins every operation here
 //! against [`crate::mont::MontgomeryDomain`] and plain long division on
 //! random, boundary, and near-`n` inputs.

@@ -8,26 +8,21 @@
 //! * [`bigint`] — fixed-width 256-bit integers, with a dedicated
 //!   squaring kernel, single-subtraction reduction for `< 2m` values,
 //!   and the shared carry-chain primitives (`adc`/`sbb`/`mac`) and
-//!   binary-Euclid modular inverse used by both field backends;
+//!   binary-Euclid modular inverse shared by every field implementation;
 //! * [`mont`] — Montgomery modular arithmetic for odd 256-bit moduli:
 //!   REDC multiply/square, Fermat and binary-Euclid inversion, and
-//!   Montgomery-trick *batch* inversion (one field inversion per block
-//!   of signatures). The differential-test oracle and A/B baseline for
-//!   both the base field and the scalar field;
+//!   Montgomery-trick *batch* inversion. Not on any production path:
+//!   it is the reference the differential tests and the benchmark's
+//!   in-process A/B hold both fast fields against;
 //! * [`fp256`] — Solinas-form (NIST fast-reduction) arithmetic
 //!   specialized to the P-256 prime: reduction is a fixed nine-term
-//!   word shuffle with no multiplications, on canonical residues;
+//!   word shuffle with no multiplications, on canonical residues. The
+//!   curve layer's base field;
 //! * [`fq256`] — Barrett-folded arithmetic in the scalar field (mod
 //!   the group order `n`): a precomputed `⌊2^512/n⌋` constant reduces
 //!   the 512-bit product on canonical residues, eliminating the REDC
-//!   domain crossings the ECDSA scalar flow is dominated by;
-//! * [`field`] — the backend switch wiring [`fp256`] (default) or
-//!   [`mont`] under the curve layer, selected by the
-//!   `FABRIC_FIELD_BACKEND` environment variable or the
-//!   `montgomery-field-default` cargo feature;
-//! * [`scalar`] — the analogous switch for the scalar field, wiring
-//!   [`fq256`] (default) or [`mont`] under the ECDSA layer
-//!   (`FABRIC_SCALAR_BACKEND` / `montgomery-scalar-default`);
+//!   domain crossings the ECDSA scalar flow is dominated by. The ECDSA
+//!   layer's scalar field;
 //! * [`curve`] — NIST P-256 group operations: Jacobian/mixed addition,
 //!   windowed and width-5 wNAF scalar multiplication, Shamir
 //!   double-scalar multiplication, a lazily built fixed-base comb table
@@ -65,17 +60,55 @@ pub mod bigint;
 pub mod curve;
 pub mod der;
 pub mod ecdsa;
-pub mod field;
 pub mod fp256;
 pub mod fq256;
 pub mod identity;
 pub mod mont;
-pub mod scalar;
 pub mod sha256;
 
 pub use bigint::U256;
 pub use ecdsa::{EcdsaError, Signature, SigningKey, VerifyingKey};
-pub use field::{default_field_backend, FieldBackend, FieldDomain};
 pub use identity::{Certificate, Identity, Msp, NodeId, Role, SigningIdentity};
-pub use scalar::{default_scalar_backend, ScalarBackend, ScalarDomain};
 pub use sha256::{sha256, Sha256};
+
+/// Names the one compiled-in base-field arithmetic ([`fp256`]), for
+/// the benchmark's configuration echo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldBackend {
+    /// Solinas (NIST fast-reduction) arithmetic on canonical residues.
+    Solinas,
+}
+
+impl FieldBackend {
+    /// Stable lowercase name.
+    pub fn name(&self) -> &'static str {
+        "solinas"
+    }
+}
+
+/// The base-field arithmetic the curve layer runs on; always
+/// [`FieldBackend::Solinas`].
+pub fn default_field_backend() -> FieldBackend {
+    FieldBackend::Solinas
+}
+
+/// Names the one compiled-in scalar-field arithmetic ([`fq256`]), for
+/// the benchmark's configuration echo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarBackend {
+    /// Barrett-folded reduction on canonical residues.
+    Barrett,
+}
+
+impl ScalarBackend {
+    /// Stable lowercase name.
+    pub fn name(&self) -> &'static str {
+        "barrett"
+    }
+}
+
+/// The scalar-field arithmetic the ECDSA layer runs on; always
+/// [`ScalarBackend::Barrett`].
+pub fn default_scalar_backend() -> ScalarBackend {
+    ScalarBackend::Barrett
+}

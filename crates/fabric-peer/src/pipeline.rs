@@ -184,8 +184,8 @@ impl ValidatorPipeline {
     /// state database on an explicit backend instead of the process
     /// default — the differential-audit constructor: the cluster
     /// harness's serial oracle pins its replay to the legacy store
-    /// while peers run whatever `FABRIC_STATE_BACKEND` selects, so an
-    /// audit pass is also a cross-backend equivalence check.
+    /// while peers run the sharded default, so an audit pass is also a
+    /// cross-backend equivalence check.
     ///
     /// # Panics
     ///

@@ -5,9 +5,9 @@
 //! sequential interleaving, which is exactly what an oracle should be.
 //! The equivalence harness (`tests/tests/statedb_equivalence.rs`) holds
 //! [`crate::ShardedStateDb`] to bit-identical results against this
-//! store; select it at runtime with `FABRIC_STATE_BACKEND=legacy` or at
-//! build time with the `legacy-state-default` feature (see
-//! [`crate::default_state_backend`]).
+//! store. It is never a process default: callers that want the oracle
+//! build it explicitly with
+//! `StateDb::with_backend(StateBackend::Legacy)`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

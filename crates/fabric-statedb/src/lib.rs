@@ -10,13 +10,13 @@
 //! Three stores are provided:
 //!
 //! * [`StateDb`] — the unbounded, thread-safe store used by software
-//!   peers. Since the sharded-MVCC rework it is a *facade* over two
-//!   interchangeable backends (see below);
+//!   peers: a *facade* over the sharded store (the production path)
+//!   or, when built explicitly, the legacy reference (see below);
 //! * [`LegacyStateDb`] — the original single-map-single-lock store,
-//!   kept fully compiled as the **differential oracle** (the
-//!   fp256/fq256 convention: the old path stays selectable so the
-//!   equivalence harness can hold the new one to bit-identical
-//!   results);
+//!   kept fully compiled as the **differential oracle**: the
+//!   equivalence harness, the cluster's serial-replay oracle and the
+//!   benchmarks build it explicitly to hold the sharded store to
+//!   bit-identical results;
 //! * [`ShardedStateDb`] — the hash-sharded MVCC store: per-shard
 //!   version-chained maps so reads can pin a height snapshot without
 //!   blocking the committer, a k-way merged ordered index preserving
@@ -28,17 +28,12 @@
 //!   entries, "internal locking mechanism to disallow reading of a key
 //!   if it is currently being written").
 //!
-//! # Selecting a backend
+//! # One production path
 //!
-//! [`StateDb::new`] consults [`default_state_backend`]:
-//!
-//! 1. the `FABRIC_STATE_BACKEND` environment variable
-//!    (`sharded` | `legacy`) decides — this is how the CI matrix and
-//!    the benchmark's A/B runs drive both backends;
-//! 2. otherwise the `legacy-state-default` cargo feature makes the
-//!    legacy store the fallback for builds that want the oracle
-//!    without touching the environment;
-//! 3. otherwise sharded.
+//! [`StateDb::new`] always builds the sharded store; there is no
+//! runtime or build-time switch. The legacy store is reached only
+//! through [`StateDb::with_backend`] (and the other explicit
+//! constructors), which is how the references are built.
 //!
 //! Both backends answer the *same* API with the same semantics for
 //! every sequential interleaving of `apply`/`get`/`range`/`snapshot` —
@@ -202,8 +197,7 @@ pub enum StateBackend {
 }
 
 impl StateBackend {
-    /// Stable lowercase name, as used by `FABRIC_STATE_BACKEND` and the
-    /// benchmark JSON.
+    /// Stable lowercase name, as used in benchmark output.
     pub fn name(&self) -> &'static str {
         match self {
             StateBackend::Sharded => "sharded",
@@ -218,25 +212,10 @@ impl fmt::Display for StateBackend {
     }
 }
 
-/// Resolves the backend [`StateDb::new`] should use (see the module
-/// docs for precedence). An explicit `FABRIC_STATE_BACKEND` always
-/// wins; the `legacy-state-default` feature only changes the fallback
-/// when the env var is unset.
-///
-/// # Panics
-///
-/// Panics when `FABRIC_STATE_BACKEND` is set to an unknown value —
-/// silently falling back would make an A/B run measure the wrong thing.
+/// The backend [`StateDb::new`] builds: always
+/// [`StateBackend::Sharded`].
 pub fn default_state_backend() -> StateBackend {
-    match std::env::var("FABRIC_STATE_BACKEND") {
-        Ok(v) if v.eq_ignore_ascii_case("sharded") => StateBackend::Sharded,
-        Ok(v) if v.eq_ignore_ascii_case("legacy") => StateBackend::Legacy,
-        Ok(other) => {
-            panic!("FABRIC_STATE_BACKEND must be \"sharded\" or \"legacy\", got {other:?}")
-        }
-        Err(_) if cfg!(feature = "legacy-state-default") => StateBackend::Legacy,
-        Err(_) => StateBackend::Sharded,
-    }
+    StateBackend::Sharded
 }
 
 /// The unbounded, thread-safe versioned store used by software peers —
@@ -271,15 +250,14 @@ impl Default for StateDb {
 }
 
 impl StateDb {
-    /// Creates an empty database on the process-default backend (see
+    /// Creates an empty database on the sharded backend (see
     /// [`default_state_backend`]).
     pub fn new() -> Self {
         StateDb::with_backend(default_state_backend())
     }
 
     /// Creates an empty database on an explicit backend — how the
-    /// differential harness constructs its oracle/subject pair without
-    /// touching the environment.
+    /// differential harness constructs its oracle/subject pair.
     pub fn with_backend(backend: StateBackend) -> Self {
         let inner = match backend {
             StateBackend::Legacy => Backend::Legacy(LegacyStateDb::new()),
@@ -311,8 +289,8 @@ impl StateDb {
         }
     }
 
-    /// Rebuilds a database from a checkpoint snapshot on the
-    /// process-default backend: the entries of a previous
+    /// Rebuilds a database from a checkpoint snapshot on the sharded
+    /// backend: the entries of a previous
     /// [`StateDb::snapshot`] plus the tip height recorded with it. The
     /// journal replay that follows a snapshot restore continues from
     /// this tip. Snapshot entries are an ordered, backend-independent

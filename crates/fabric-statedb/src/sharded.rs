@@ -334,12 +334,18 @@ impl ShardedStateDb {
         // relaxed: monotonic stats counter; never gates data visibility
         inner.writes.fetch_add(total as u64, Ordering::Relaxed);
 
-        let busy = groups.iter().filter(|g| !g.is_empty()).count();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(busy);
-        if total >= PARALLEL_APPLY_THRESHOLD && workers > 1 {
+        // Only a wide commit asks for the core count: the query costs
+        // tens of µs, more than a whole per-tx apply.
+        let workers = if total >= PARALLEL_APPLY_THRESHOLD {
+            let busy = groups.iter().filter(|g| !g.is_empty()).count();
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(busy)
+        } else {
+            1
+        };
+        if workers > 1 {
             // Wide commit: at most `available_parallelism` threads, each
             // applying a stripe of shard groups (thread w takes groups
             // w, w+workers, ...). Each group goes to exactly one thread

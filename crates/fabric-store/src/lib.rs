@@ -86,10 +86,9 @@ pub struct StoreConfig {
     pub segment_max_bytes: u64,
     /// State-database backend the store builds at open (checkpoint
     /// restore and journal replay both target it). Defaults to the
-    /// process default ([`fabric_statedb::default_state_backend`]), so
-    /// `FABRIC_STATE_BACKEND` reaches durable peers too; the recovery
-    /// cross-check pins it explicitly to prove replay lands the same
-    /// state on either backend.
+    /// sharded store ([`fabric_statedb::default_state_backend`]); the
+    /// recovery cross-check sets it explicitly to prove replay lands the
+    /// same state on either backend.
     pub state_backend: StateBackend,
 }
 

@@ -23,10 +23,12 @@ for key in admission_p50_us admission_p99_us dedup_hit_rate shed_rate \
     || { echo "error: admission section lost the $key metric" >&2; exit 1; }
 done
 
-# The statedb section must carry the sharded-vs-legacy A/B and its
-# in-bench equivalence gate (identical state hashes on both backends).
+# The statedb section must carry the sharded-vs-legacy A/B, its
+# in-bench equivalence gate (identical state hashes on both backends)
+# and the small-batch apply leg.
 for key in preload_keys preload_keys_per_s zipf_txs_per_s read_p50_us \
-           read_p99_us backends_state_hash_equal; do
+           read_p99_us backends_state_hash_equal small_apply_sharded_us \
+           small_apply_legacy_us small_apply_sharded_over_legacy; do
   grep -q "\"$key\"" BENCH_validation.json \
     || { echo "error: statedb section lost the $key metric" >&2; exit 1; }
 done

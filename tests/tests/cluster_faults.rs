@@ -19,10 +19,9 @@
 //! * **slow-follower stall** and **backpressure shedding** under a
 //!   tiny backlog cap and burst traffic.
 //!
-//! Every scenario audits against the same oracle, on whichever
-//! field/scalar backend pair the CI leg selects — the oracle and the
-//! cluster compute over the same backends, so agreement is exercised on
-//! all four legs.
+//! Every scenario audits against the same oracle; the oracle replays on
+//! the legacy state store while the peers run sharded, so each audit is
+//! also a cross-backend state comparison.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;

@@ -17,11 +17,11 @@
 //!   the group order `n`), introduced in PR 4 — same operations, biased
 //!   toward near-`n` inputs where the quotient estimate saturates.
 //!
-//! On top of the field layer, full ECDSA sign→verify round-trips and
-//! the fast-vs-Shamir verification agreement run on whichever backends
-//! the process selected (`FABRIC_FIELD_BACKEND` ×
-//! `FABRIC_SCALAR_BACKEND`); the CI matrix crosses all four
-//! combinations, so every wiring stays green.
+//! Every comparison runs in-process: the fast fields are the only ones
+//! the curve and ECDSA layers use, and the oracles are built here
+//! directly. On top of the field layer, full ECDSA sign→verify
+//! round-trips and the fast-vs-Shamir verification agreement run on
+//! that one production wiring.
 
 use fabric_crypto::bigint::{U256, U512};
 use fabric_crypto::ecdsa::{Signature, SigningKey};
@@ -157,6 +157,7 @@ proptest! {
         let mon = m.inv(&m.to_mont(&a)).map(|i| m.from_mont(&i));
         prop_assert_eq!(sol, mon);
         prop_assert_eq!(sol, Fp256.inv_prime(&a));
+        prop_assert_eq!(sol, m.inv_prime(&m.to_mont(&a)).map(|i| m.from_mont(&i)));
         if let Some(inv) = sol {
             prop_assert_eq!(Fp256.mul(&a, &inv), U256::ONE);
         } else {
@@ -168,6 +169,13 @@ proptest! {
     fn solinas_batch_inverse_matches_individual(values in proptest::collection::vec(arb_fe(), 1..20)) {
         let mut batch = values.clone();
         let mask = Fp256.batch_inv(&mut batch);
+        // The Montgomery reference's batch inversion, same inputs.
+        let m = oracle();
+        let mut mon_batch: Vec<U256> = values.iter().map(|v| m.to_mont(v)).collect();
+        prop_assert_eq!(&m.batch_inv(&mut mon_batch), &mask);
+        for (b, mb) in batch.iter().zip(&mon_batch) {
+            prop_assert_eq!(*b, m.from_mont(mb));
+        }
         for i in 0..values.len() {
             if values[i].is_zero() {
                 prop_assert!(!mask[i]);
@@ -232,6 +240,7 @@ proptest! {
         let mon = m.inv(&m.to_mont(&a)).map(|i| m.from_mont(&i));
         prop_assert_eq!(bar, mon);
         prop_assert_eq!(bar, Fq256.inv_prime(&a));
+        prop_assert_eq!(bar, m.inv_prime(&m.to_mont(&a)).map(|i| m.from_mont(&i)));
         if let Some(inv) = bar {
             prop_assert_eq!(Fq256.mul(&a, &inv), U256::ONE);
         } else {
@@ -243,6 +252,13 @@ proptest! {
     fn barrett_scalar_batch_inverse_matches_individual(values in proptest::collection::vec(arb_se(), 1..20)) {
         let mut batch = values.clone();
         let mask = Fq256.batch_inv(&mut batch);
+        // The Montgomery reference's batch inversion, same inputs.
+        let m = scalar_oracle();
+        let mut mon_batch: Vec<U256> = values.iter().map(|v| m.to_mont(v)).collect();
+        prop_assert_eq!(&m.batch_inv(&mut mon_batch), &mask);
+        for (b, mb) in batch.iter().zip(&mon_batch) {
+            prop_assert_eq!(*b, m.from_mont(mb));
+        }
         for i in 0..values.len() {
             if values[i].is_zero() {
                 prop_assert!(!mask[i]);
@@ -314,9 +330,8 @@ proptest! {
     }
 
     /// The re-validation cache key is derived from *plain byte*
-    /// encodings (SEC1 point, digest, raw `r‖s`), never from field
-    /// representation residues — so a verdict cached under one backend
-    /// means the same triple under the other. Recompute it from first
+    /// encodings (SEC1 point, digest, raw `r‖s`), never from an
+    /// internal field representation. Recompute it from first
     /// principles and compare.
     #[test]
     fn sig_cache_key_is_backend_independent(seed in any::<[u8; 16]>(), msg in proptest::collection::vec(any::<u8>(), 0..64)) {

@@ -3,10 +3,11 @@
 //! Hand-rolled analogues of the classic Wycheproof test classes —
 //! malformed DER, out-of-range scalars, wrong-curve points, signature
 //! malleability — asserting that the optimized verification path and
-//! the preserved seed (Shamir) path **reject identically**, whatever
-//! base-field backend the process runs on. The CI matrix executes this
-//! file once under Solinas and once under Montgomery, so a divergence
-//! in either wiring fails a build.
+//! the preserved seed (Shamir) path **reject identically**. Both paths
+//! run on the one production field wiring (Solinas base field, Barrett
+//! scalar field); the per-operation agreement of those fields with the
+//! Montgomery reference is pinned in-process by
+//! `crypto_differential.rs`.
 
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{p256, AffinePoint, PointError};
@@ -201,7 +202,7 @@ fn high_s_twin_treated_identically_by_both_paths() {
     // (r, s) does. This library implements plain FIPS 186-4
     // verification (no low-s policy), so the twin must be *accepted* —
     // what matters for the differential guarantee is that both paths
-    // and both field backends give the same answer, never a split
+    // give the same answer, never a split
     // verdict an attacker could wedge a cache or consensus on.
     let key = test_key();
     let vk = key.verifying_key();

@@ -8,17 +8,17 @@
 //! (which `bits2int` must fold, not truncate).
 //!
 //! Every ECDSA-level vector is asserted identical on the optimized and
-//! the preserved Shamir path; the CI matrix runs the file under all
-//! four `FABRIC_SCALAR_BACKEND` × `FABRIC_FIELD_BACKEND` combinations,
-//! so a verdict that depended on the backend would split a matrix leg.
-//! The scalar-domain computations themselves (`u1`/`u2`, `s⁻¹`) are
-//! additionally cross-checked *in-process* between the Barrett and
-//! Montgomery [`ScalarDomain`]s, which are both always compiled.
+//! the preserved Shamir path. The scalar computations themselves
+//! (`u1`/`u2`, `s⁻¹`, batch inversion) are additionally cross-checked
+//! *in-process* between the production Barrett field ([`Fq256`]) and
+//! the Montgomery reference ([`MontgomeryDomain`] on `n`), which tests
+//! build directly.
 
 use fabric_crypto::bigint::U256;
 use fabric_crypto::curve::{mul_fixed_base, p256};
 use fabric_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
-use fabric_crypto::scalar::{ScalarBackend, ScalarDomain};
+use fabric_crypto::fq256::Fq256;
+use fabric_crypto::mont::MontgomeryDomain;
 use fabric_crypto::sha256::sha256;
 
 fn test_key() -> SigningKey {
@@ -50,10 +50,10 @@ fn forge_signature_with_s(key: &SigningKey, k: &U256, s_target: &U256) -> (Signa
     let n = &c.order;
     let d = U256::from_be_bytes(&key.to_be_bytes());
     let point = mul_fixed_base(k).to_affine();
-    let r = c.fp.from_repr(&point.x).reduce_once(n);
+    let r = point.x.reduce_once(n);
     assert!(!r.is_zero(), "pick a different k");
     // z = s·k − r·d (mod n), all canonical.
-    let fd = ScalarDomain::p256_order(ScalarBackend::Barrett);
+    let fd = &c.fn_;
     let sk = fd.mul(s_target, &k.rem(n));
     let rd = fd.mul(&r, &d);
     let z = fd.sub(&sk, &rd);
@@ -156,15 +156,15 @@ fn digests_at_and_above_n_fold_identically() {
     assert!(paths_agree(vk, &max, &sig), "all-ones digest");
 }
 
-/// The scalar edge values, crossed through both in-process
-/// [`ScalarDomain`]s: `u1`/`u2` derivation and inversion must be
-/// bit-identical between Barrett and Montgomery whatever the process
-/// backend is.
+/// The scalar edge values, crossed in-process through the Barrett
+/// field and the Montgomery reference on `n`: `u1`/`u2` derivation and
+/// inversion must be bit-identical. Montgomery operands are converted
+/// in and out at the boundary, exactly as the reference would be used.
 #[test]
 fn edge_scalars_agree_across_scalar_backends_in_process() {
-    let bar = ScalarDomain::p256_order(ScalarBackend::Barrett);
-    let mon = ScalarDomain::p256_order(ScalarBackend::Montgomery);
-    let n = *bar.modulus();
+    let bar = Fq256;
+    let mon = MontgomeryDomain::new(Fq256::N);
+    let n = Fq256::N;
     let nm1 = n.wrapping_sub(&U256::ONE);
     let edge = [
         U256::ONE,
@@ -174,31 +174,26 @@ fn edge_scalars_agree_across_scalar_backends_in_process() {
         U256::MAX.rem(&n),
         U256([0, 0, 0, 1 << 63]).rem(&n),
     ];
+    // Montgomery multiply on canonical operands, canonical result.
+    let mon_mul = |a: &U256, b: &U256| mon.from_mont(&mon.mul(&mon.to_mont(a), &mon.to_mont(b)));
     for s in &edge {
-        // s⁻¹ through each backend, canonical at the boundary.
-        let inv_bar = bar.from_repr(&bar.inv(&bar.to_repr(s)).unwrap());
-        let inv_mon = mon.from_repr(&mon.inv(&mon.to_repr(s)).unwrap());
+        let inv_bar = bar.inv(s).unwrap();
+        let inv_mon = mon.from_mont(&mon.inv(&mon.to_mont(s)).unwrap());
         assert_eq!(inv_bar, inv_mon, "s⁻¹ diverged for s={s:?}");
         for z in &edge {
             for r in &edge {
                 // u1 = z·s⁻¹, u2 = r·s⁻¹ — the exact per-signature flow.
-                let u_bar = (
-                    bar.from_repr(&bar.mul(&bar.to_repr(z), &bar.to_repr(&inv_bar))),
-                    bar.from_repr(&bar.mul(&bar.to_repr(r), &bar.to_repr(&inv_bar))),
-                );
-                let u_mon = (
-                    mon.from_repr(&mon.mul(&mon.to_repr(z), &mon.to_repr(&inv_mon))),
-                    mon.from_repr(&mon.mul(&mon.to_repr(r), &mon.to_repr(&inv_mon))),
-                );
+                let u_bar = (bar.mul(z, &inv_bar), bar.mul(r, &inv_bar));
+                let u_mon = (mon_mul(z, &inv_mon), mon_mul(r, &inv_mon));
                 assert_eq!(u_bar, u_mon, "u1/u2 diverged at z={z:?} r={r:?} s={s:?}");
             }
         }
     }
-    // Batched inversion over the whole edge set, both backends.
-    let mut vals_bar: Vec<U256> = edge.iter().map(|v| bar.to_repr(v)).collect();
-    let mut vals_mon: Vec<U256> = edge.iter().map(|v| mon.to_repr(v)).collect();
+    // Batched inversion over the whole edge set, both fields.
+    let mut vals_bar = edge.to_vec();
+    let mut vals_mon: Vec<U256> = edge.iter().map(|v| mon.to_mont(v)).collect();
     assert_eq!(bar.batch_inv(&mut vals_bar), mon.batch_inv(&mut vals_mon));
     for (b, m) in vals_bar.iter().zip(&vals_mon) {
-        assert_eq!(bar.from_repr(b), mon.from_repr(m));
+        assert_eq!(*b, mon.from_mont(m));
     }
 }

@@ -24,9 +24,6 @@
 //! * restart + resume: a recovered peer resumes the stream via
 //!   `BmacReceiver::resuming_from` and converges to the full-chain
 //!   state.
-//!
-//! Field/scalar backends: the CI matrix runs this harness on every
-//! backend combination (the `recovery-gate` step).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -131,8 +131,7 @@ fn scenario_strategy() -> impl Strategy<Value = (StreamScenario, usize, u64)> {
 proptest! {
     // Each case builds a network and does real ECDSA for every
     // signature in the stream; a handful of cases already covers both
-    // workload regimes × fault mix × lane counts on both field backends
-    // (CI matrix).
+    // workload regimes × fault mix × lane counts.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
